@@ -30,7 +30,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use msccl_bench::Scale;
-use msccl_runtime::{execute_in_arena, reference, ExecArena, ExecStats, RunOptions};
+use msccl_runtime::{reference, run, ExecArena, ExecStats, Run, RunOptions};
 use mscclang::{compile, CompileOptions, EpochMode, Program};
 
 /// One measured point of the sweep.
@@ -135,7 +135,8 @@ fn paired(
         for is_a in order {
             let opts = if is_a { a } else { b };
             let t0 = Instant::now();
-            let (out, s) = execute_in_arena(ir, inputs, chunk_elems, opts, arena).expect("runs");
+            let report = run(Run::new(ir, inputs, chunk_elems, opts).with_arena(arena));
+            let (out, s) = (report.outputs.expect("runs"), report.stats);
             let dt = t0.elapsed().as_secs_f64();
             std::hint::black_box(&out);
             arena.recycle_outputs(out);
@@ -215,8 +216,9 @@ fn measure(
     // second pass.
     let mut arena = ExecArena::new(&ir, &on);
     for _ in 0..2 {
-        let (warm, _) =
-            execute_in_arena(&ir, &inputs, chunk_elems, &on, &mut arena).expect("warmup");
+        let warm = run(Run::new(&ir, &inputs, chunk_elems, &on).with_arena(&mut arena))
+            .outputs
+            .expect("warmup");
         arena.recycle_outputs(warm);
     }
 

@@ -22,7 +22,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use msccl_bench::Scale;
-use msccl_sim::{ParallelBackend, SerialBackend, SimBackend, SimReport};
+use msccl_sim::{simulate, SimConfig, SimReport};
 use msccl_topology::Machine;
 use mscclang::{
     BufferKind, Collective, IrGpu, IrInstruction, IrLoc, IrProgram, IrThreadBlock, OpCode,
@@ -44,11 +44,10 @@ struct Entry {
     speedup: f64,
 }
 
-/// Best-of-`iters` wall time for one backend, returning the last report.
+/// Best-of-`iters` wall time for one configuration, returning the last report.
 fn best_of(
-    backend: &dyn SimBackend,
     ir: &mscclang::IrProgram,
-    cfg: &msccl_sim::SimConfig,
+    cfg: &SimConfig,
     bytes: u64,
     iters: usize,
 ) -> (f64, SimReport) {
@@ -56,9 +55,7 @@ fn best_of(
     let mut report = None;
     for _ in 0..iters {
         let t0 = Instant::now();
-        let r = backend
-            .simulate(ir, cfg, bytes)
-            .expect("clean program simulates");
+        let r = simulate(ir, cfg, bytes).expect("clean program simulates");
         best = best.min(t0.elapsed().as_secs_f64());
         report = Some(r);
     }
@@ -138,11 +135,12 @@ fn ring_ir(ranks: usize) -> IrProgram {
 fn measure(ranks: usize, threads: usize, iters: usize) -> Entry {
     let ir = ring_ir(ranks);
     let machine = Machine::ndv4(ranks.div_ceil(8).max(1));
-    let cfg = msccl_sim::SimConfig::new(machine);
+    let cfg = SimConfig::new(machine);
     let bytes = 1u64 << 20;
 
-    let (serial_s, serial) = best_of(&SerialBackend, &ir, &cfg, bytes, iters);
-    let (parallel_s, parallel) = best_of(&ParallelBackend { threads }, &ir, &cfg, bytes, iters);
+    let (serial_s, serial) = best_of(&ir, &cfg, bytes, iters);
+    let parallel_cfg = cfg.clone().with_parallel(threads);
+    let (parallel_s, parallel) = best_of(&ir, &parallel_cfg, bytes, iters);
     assert_eq!(
         serial, parallel,
         "ranks={ranks}: parallel({threads}) diverged from serial"

@@ -6,8 +6,7 @@ use std::time::Duration;
 use msccl_faults::{FaultInjector, FaultPlan, FaultUniverse};
 use msccl_metrics::{names, MetricsSnapshot};
 use msccl_runtime::{
-    execute_profiled, execute_with_metrics, execute_with_recovery, reference, Blackbox,
-    RecoveryPolicy, ResumePolicy, RunOptions,
+    recover, reference, run, Blackbox, RecoveryPolicy, ResumePolicy, Run, RunOptions,
 };
 use msccl_scenario::{
     check_scenario, drive_scenario, run_scenario, DriveConfig, Engine as ScenarioEngine,
@@ -521,7 +520,12 @@ fn cmd_profile(args: &Args) -> Result<String, CliError> {
                 epochs,
                 ..RunOptions::default()
             };
-            let (outputs, measured, snapshot) = execute_profiled(&ir, &inputs, chunk_elems, &opts)?;
+            let report = run(Run::new(&ir, &inputs, chunk_elems, &opts)
+                .with_trace(true)
+                .with_snapshot(true));
+            let outputs = report.outputs?;
+            let measured = report.trace.expect("trace requested");
+            let snapshot = report.metrics.unwrap_or_default();
             reference::check_outputs(
                 &ir.collective,
                 &inputs,
@@ -1003,6 +1007,11 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
     opts.epochs = epoch_mode_opt(args)?;
     opts.blackbox_dir = blackbox_dir(args)?;
     let plan = load_fault_plan(args, &ir)?;
+    let injector = plan.as_ref().map(FaultInjector::new);
+    let req = Run {
+        injector: injector.as_ref(),
+        ..Run::new(&ir, &inputs, chunk_elems, &opts)
+    };
     let retries: Option<usize> = args.opt("retries")?;
     let fallback = args
         .options
@@ -1012,26 +1021,16 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
         })
         .transpose()?;
     if plan.is_some() || retries.is_some() || fallback.is_some() {
-        return run_with_recovery(
-            args,
-            &ir,
-            &inputs,
-            chunk_elems,
-            &opts,
-            plan,
-            retries,
-            fallback,
-        );
+        return run_with_recovery(args, req, plan.as_ref(), retries, fallback.as_ref());
     }
-    let mut extra = String::new();
-    let (outputs, snapshot) = match trace_path(args)? {
-        Some(path) => {
-            let (outputs, trace, snapshot) = execute_profiled(&ir, &inputs, chunk_elems, &opts)?;
-            extra = write_trace(path, &trace)?;
-            (outputs, snapshot)
-        }
-        None => execute_with_metrics(&ir, &inputs, chunk_elems, &opts)?,
+    let trace = trace_path(args)?;
+    let report = run(req.with_trace(trace.is_some()).with_snapshot(true));
+    let outputs = report.outputs?;
+    let extra = match (trace, &report.trace) {
+        (Some(path), Some(trace)) => write_trace(path, trace)?,
+        _ => String::new(),
     };
+    let snapshot = report.metrics.unwrap_or_default();
     reference::check_outputs(
         &ir.collective,
         &inputs,
@@ -1060,34 +1059,22 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
 /// The `run` path with faults, retries or a fallback algorithm: executes
 /// through the runtime's collective-level recovery loop and reports every
 /// decision it made. `--trace` here writes the recovery decision trace.
-#[allow(clippy::too_many_arguments)]
 fn run_with_recovery(
     args: &Args,
-    ir: &IrProgram,
-    inputs: &[Vec<f32>],
-    chunk_elems: usize,
-    opts: &RunOptions,
-    plan: Option<FaultPlan>,
+    req: Run<'_>,
+    plan: Option<&FaultPlan>,
     retries: Option<usize>,
-    fallback: Option<IrProgram>,
+    fallback: Option<&IrProgram>,
 ) -> Result<String, CliError> {
+    let ir = req.ir;
     let policy = RecoveryPolicy {
         max_retries: retries.unwrap_or(RecoveryPolicy::default().max_retries),
         resume: resume_policy_opt(args)?,
         ..RecoveryPolicy::default()
     };
-    let injector = plan.as_ref().map(FaultInjector::new);
-    let report = execute_with_recovery(
-        ir,
-        fallback.as_ref(),
-        inputs,
-        chunk_elems,
-        opts,
-        &policy,
-        injector.as_ref(),
-    )?;
+    let report = recover(req, &policy, fallback)?;
     let mut out = String::new();
-    if let Some(plan) = &plan {
+    if let Some(plan) = plan {
         let _ = writeln!(out, "fault plan (reproduce with --fault-plan):");
         for line in plan.to_text().lines() {
             let _ = writeln!(out, "  {line}");

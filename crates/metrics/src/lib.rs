@@ -25,6 +25,29 @@ mod snapshot;
 
 pub use snapshot::{HistogramSnapshot, MetricsSnapshot, Sample, SampleValue};
 
+/// Escapes a string for embedding in a JSON string literal: quote,
+/// backslash and every control character. The one escape behind every
+/// hand-written JSON document in the workspace.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// The shared metric vocabulary. The runtime, the simulator and the
 /// offline trace analyzer all register these exact names, which is what
 /// makes their snapshots comparable sample-for-sample: logical counters

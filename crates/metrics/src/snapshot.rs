@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::{bucket_upper_bound, BUCKETS};
+use crate::{bucket_upper_bound, json_escape, BUCKETS};
 
 /// Folded state of one histogram: non-empty `(bucket index, count)` pairs
 /// sorted by index, plus total count and value sum.
@@ -184,12 +184,17 @@ impl MetricsSnapshot {
             let mut labels = String::new();
             for (j, (k, v)) in sample.labels.iter().enumerate() {
                 let sep = if j == 0 { "" } else { ", " };
-                let _ = write!(labels, "{sep}\"{}\": \"{}\"", escape(k), escape(v));
+                let _ = write!(
+                    labels,
+                    "{sep}\"{}\": \"{}\"",
+                    json_escape(k),
+                    json_escape(v)
+                );
             }
             let _ = write!(
                 s,
                 "    {{\"name\": \"{}\", \"labels\": {{{labels}}}, \"type\": \"{}\", ",
-                escape(&sample.name),
+                json_escape(&sample.name),
                 sample.value.type_name()
             );
             match &sample.value {
@@ -298,14 +303,18 @@ fn label_set(labels: &[(String, String)], extra: &[(&str, &str)]) -> String {
             s.push(',');
         }
         first = false;
-        let _ = write!(s, "{k}=\"{}\"", escape(v));
+        let _ = write!(s, "{k}=\"{}\"", label_escape(v));
     }
     s.push('}');
     s
 }
 
-fn escape(v: &str) -> String {
-    v.replace('\\', "\\\\").replace('"', "\\\"")
+/// Escapes a Prometheus label value as the text format requires:
+/// backslash, double quote and line feed.
+fn label_escape(v: &str) -> String {
+    v.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 #[cfg(test)]
@@ -348,6 +357,27 @@ mod tests {
         assert!(text.contains("msccl_instr_latency_ns_bucket{op=\"s\",le=\"+Inf\"} 2"));
         assert!(text.contains("msccl_instr_latency_ns_sum{op=\"s\"} 900"));
         assert!(text.contains("msccl_instr_latency_ns_count{op=\"s\"} 2"));
+    }
+
+    /// Label values are untrusted: each format gets its own escapes, so a
+    /// newline or quote in a value never ends the sample or the string.
+    #[test]
+    fn label_values_are_escaped_per_format() {
+        let r = Registry::new(1);
+        r.counter("msccl_x_total", &[("tenant", "a\"b\\c\nd\te")])
+            .inc(0);
+        let snap = r.snapshot();
+        let text = snap.to_prometheus();
+        assert!(
+            text.contains("msccl_x_total{tenant=\"a\\\"b\\\\c\\nd\te\"} 1\n"),
+            "{text}"
+        );
+        assert_eq!(text.lines().count(), 2, "{text}");
+        let json = snap.to_json();
+        assert!(
+            json.contains("\"tenant\": \"a\\\"b\\\\c\\nd\\te\""),
+            "{json}"
+        );
     }
 
     #[test]

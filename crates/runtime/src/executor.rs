@@ -15,10 +15,10 @@
 //! next step, and when, changed — so results stay bit-exact with the
 //! dedicated-thread executor this replaced, at any pool size.
 //!
-//! Execution can be traced: [`execute_traced`] returns a wall-clock
-//! [`Trace`] built from lock-free per-worker event buffers merged after
-//! the threads join. The untraced [`execute`] path skips every event
-//! push. Independently of tracing, each worker keeps a small ring buffer
+//! Execution can be traced: a [`Run`] with [`trace`](Run::trace) set
+//! returns a wall-clock [`Trace`] built from lock-free per-worker event
+//! buffers merged after the threads join. An untraced run skips every
+//! event push. Independently of tracing, each worker keeps a small ring buffer
 //! of its recent activity, and when the run fails the error carries every
 //! thread block's last few entries — enough to see who stalled on what.
 //!
@@ -98,8 +98,8 @@ pub struct RunOptions {
     /// cost model pick a count (possibly zero — short runs are cheaper
     /// to retry than to checkpoint); `Count(n)` forces `n` boundaries,
     /// clamped to the consistent cut positions available. See
-    /// [`crate::epoch`] for the machinery and
-    /// [`execute_resumable`] for resuming from a checkpoint.
+    /// [`crate::epoch`] for the machinery and [`Run::resume`] for
+    /// resuming from a checkpoint.
     pub epochs: EpochMode,
     /// Size of the work-stealing worker pool (`--threads`). `0` (the
     /// default) picks `min(available_parallelism, num_tbs)`; any other
@@ -241,7 +241,7 @@ pub enum RuntimeError {
         message: String,
     },
     /// The whole-recovery deadline budget ([`RunOptions::deadline`] under
-    /// [`execute_with_recovery`](crate::execute_with_recovery)) ran out
+    /// [`recover`](crate::recover)) ran out
     /// between attempts: the remaining budget was smaller than the next
     /// backoff, so the loop failed fast instead of sleeping past it.
     RecoveryBudgetExhausted {
@@ -425,23 +425,20 @@ impl RuntimeError {
 }
 
 /// Observability counters for one execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Tile-pool behaviour *during this run* (allocation/reuse deltas;
     /// `free` is the pool's absolute level afterwards). With a warm
-    /// shared pool (see [`execute_pooled`]), `pool.allocated` is zero.
+    /// [`ExecArena`] (see [`Run::arena`]), `pool.allocated` is zero.
     pub pool: PoolStats,
     /// Instruction instances completed across all thread blocks and
     /// tiles — the denominator for allocations-per-step.
     pub instructions: u64,
 }
 
-/// The tile pool [`execute`] would create internally for `ir` under
-/// `opts`: buffers sized to one maximal tile (`tile_elems` × the largest
-/// instruction `count`). Create one of these and pass it to
-/// [`execute_pooled`] repeatedly to keep buffers warm across runs.
-#[must_use]
-pub fn tile_pool_for(ir: &IrProgram, opts: &RunOptions) -> Arc<TilePool> {
+/// A tile pool for `ir` under `opts`: buffers sized to one maximal tile
+/// (`tile_elems` × the largest instruction `count`).
+fn tile_pool(ir: &IrProgram, opts: &RunOptions) -> Arc<TilePool> {
     let params = opts.protocol.params();
     let tile_elems = opts
         .tile_elems
@@ -458,8 +455,8 @@ pub fn tile_pool_for(ir: &IrProgram, opts: &RunOptions) -> Arc<TilePool> {
 }
 
 /// Warm, reusable execution state: the tile pool plus recycled rank
-/// memory spaces and (optionally) result vectors. [`execute_in_arena`]
-/// draws every buffer of the data path from here and stashes the space
+/// memory spaces and (optionally) result vectors. A [`Run`] with an
+/// arena draws every buffer of the data path from here and stashes the space
 /// buffers back after the run, so repeated executions of the same
 /// program allocate nothing in steady state — not tiles, not rank
 /// memory, and, when finished outputs are handed back with
@@ -486,14 +483,15 @@ pub struct ExecArena {
 }
 
 impl ExecArena {
-    /// An arena whose tile pool is sized for `ir` under `opts` (see
-    /// [`tile_pool_for`]). Memory-space and output buffers are adopted
+    /// An arena whose tile pool is sized for `ir` under `opts`: buffers
+    /// hold one maximal tile (`tile_elems` × the largest instruction
+    /// `count`). Memory-space and output buffers are adopted
     /// from whatever program runs in it, so one arena can serve
     /// different programs of similar size.
     #[must_use]
     pub fn new(ir: &IrProgram, opts: &RunOptions) -> Self {
         Self {
-            pool: tile_pool_for(ir, opts),
+            pool: tile_pool(ir, opts),
             spares: Vec::new(),
             outputs: Vec::new(),
             snaps: Vec::new(),
@@ -771,7 +769,129 @@ fn validate_options(opts: &RunOptions) -> Result<(), RuntimeError> {
     Ok(())
 }
 
-/// Executes a compiled program over real `f32` buffers.
+/// One execution request: a compiled program, its inputs and options,
+/// and what the caller wants besides the outputs. Every field past
+/// `opts` is optional and independent of the others — a traced run in an
+/// arena with faults injected is as expressible as a plain one. Build it
+/// with [`Run::new`] and the `with_*` methods (or struct-update syntax
+/// for fields held as `Option`s), then hand it to [`run`], or to
+/// [`recover`](crate::recover) for the escalation ladder.
+pub struct Run<'a> {
+    /// The program to execute.
+    pub ir: &'a IrProgram,
+    /// Rank `r`'s input buffer, `in_chunks * chunk_elems` elements.
+    pub inputs: &'a [Vec<f32>],
+    /// Elements per chunk.
+    pub chunk_elems: usize,
+    /// How to execute.
+    pub opts: &'a RunOptions,
+    /// Caller-owned warm buffers: every buffer of the data path — tiles,
+    /// rank memory, result vectors, epoch staging — is drawn from here
+    /// and the reusable ones go back afterwards. `None` allocates fresh.
+    pub arena: Option<&'a mut ExecArena>,
+    /// Deterministic faults to inject. Injection is one-shot per spec
+    /// *across the injector's lifetime*: running again with the same
+    /// injector models a retry after a transient fault. A disruptive
+    /// fault surfaces as a structured error whose context names the
+    /// faults that struck; a corrupting fault surfaces only through
+    /// output verification.
+    pub injector: Option<&'a FaultInjector>,
+    /// An [`EpochCheckpoint`] from an earlier failed attempt
+    /// ([`EpochStatus::checkpoint`]): rank memory is restored from the
+    /// snapshot and every thread block starts at its checkpoint
+    /// watermark, so only the work after the last consistent cut is
+    /// redone. It must come from the same program under the same
+    /// options.
+    pub resume: Option<EpochCheckpoint>,
+    /// Whether to record a wall-clock [`Trace`] of every instruction,
+    /// semaphore wait, FIFO block and message. Each worker appends to
+    /// its own buffer; the buffers are merged after the workers join.
+    pub trace: bool,
+    /// Whether to fold the always-on counters — bytes and messages per
+    /// connection, semaphore wait and FIFO block time, per-opcode
+    /// latency histograms, tile-pool behaviour — into a
+    /// [`MetricsSnapshot`] at the end of the run. With [`RunOptions::metrics`] off there are no
+    /// counters, and the report carries no snapshot.
+    pub snapshot: bool,
+}
+
+impl<'a> Run<'a> {
+    /// A plain run: no arena, faults, resume, trace or snapshot.
+    #[must_use]
+    pub fn new(
+        ir: &'a IrProgram,
+        inputs: &'a [Vec<f32>],
+        chunk_elems: usize,
+        opts: &'a RunOptions,
+    ) -> Self {
+        Self {
+            ir,
+            inputs,
+            chunk_elems,
+            opts,
+            arena: None,
+            injector: None,
+            resume: None,
+            trace: false,
+            snapshot: false,
+        }
+    }
+
+    /// Sets [`trace`](Run::trace).
+    #[must_use]
+    pub fn with_trace(mut self, trace: bool) -> Self {
+        self.trace = trace;
+        self
+    }
+
+    /// Sets [`snapshot`](Run::snapshot).
+    #[must_use]
+    pub fn with_snapshot(mut self, snapshot: bool) -> Self {
+        self.snapshot = snapshot;
+        self
+    }
+
+    /// Draws the data path from `arena` (see [`arena`](Run::arena)).
+    #[must_use]
+    pub fn with_arena(mut self, arena: &'a mut ExecArena) -> Self {
+        self.arena = Some(arena);
+        self
+    }
+
+    /// Injects faults from `injector` (see [`injector`](Run::injector)).
+    #[must_use]
+    pub fn with_faults(mut self, injector: &'a FaultInjector) -> Self {
+        self.injector = Some(injector);
+        self
+    }
+}
+
+/// Everything one [`run`] produced.
+#[derive(Debug)]
+#[must_use]
+pub struct RunReport {
+    /// Each rank's output buffer (`out_chunks * chunk_elems` elements),
+    /// or why the run failed.
+    pub outputs: Result<Vec<Vec<f32>>, RuntimeError>,
+    /// Tile-pool and instruction counters; on failure, the work done
+    /// before the teardown.
+    pub stats: ExecStats,
+    /// The wall-clock trace, when [`Run::trace`] was set and the run
+    /// succeeded.
+    pub trace: Option<Trace>,
+    /// The metrics snapshot, when [`Run::snapshot`] was set,
+    /// [`RunOptions::metrics`] was on and the run got past input
+    /// validation.
+    pub metrics: Option<MetricsSnapshot>,
+    /// The attempt's epoch picture: boundaries placed, checkpoints
+    /// published, instruction instances resumed and executed. When the
+    /// run failed transiently with a checkpoint in hand,
+    /// [`EpochStatus::checkpoint`] is what [`Run::resume`] takes.
+    pub epoch: EpochStatus,
+}
+
+/// Executes a compiled program over real `f32` buffers and returns only
+/// the outputs — [`run`] with nothing but the outputs asked for.
 ///
 /// `inputs[r]` must hold `in_chunks * chunk_elems` elements. Returns each
 /// rank's output buffer (`out_chunks * chunk_elems` elements).
@@ -786,51 +906,12 @@ pub fn execute(
     chunk_elems: usize,
     opts: &RunOptions,
 ) -> Result<Vec<Vec<f32>>, RuntimeError> {
-    execute_impl(
-        ir,
-        inputs,
-        chunk_elems,
-        opts,
-        false,
-        false,
-        None,
-        None,
-        None,
-        None,
-    )
-    .map(|(outputs, _, _, _)| outputs)
-}
-
-/// Like [`execute`], additionally returning the run's [`ExecStats`]
-/// (tile-pool allocation counters and instructions executed).
-///
-/// # Errors
-///
-/// As for [`execute`].
-pub fn execute_with_stats(
-    ir: &IrProgram,
-    inputs: &[Vec<f32>],
-    chunk_elems: usize,
-    opts: &RunOptions,
-) -> Result<(Vec<Vec<f32>>, ExecStats), RuntimeError> {
-    execute_impl(
-        ir,
-        inputs,
-        chunk_elems,
-        opts,
-        false,
-        false,
-        None,
-        None,
-        None,
-        None,
-    )
-    .map(|(outputs, _, stats, _)| (outputs, stats))
+    run(Run::new(ir, inputs, chunk_elems, opts)).outputs
 }
 
 /// Like [`execute`], additionally returning the run's [`MetricsSnapshot`]
-/// without recording a trace — the cheapest way to observe the always-on
-/// counters. Empty when [`RunOptions::metrics`] is off.
+/// — [`run`] with [`Run::snapshot`] set. The snapshot is empty when
+/// [`RunOptions::metrics`] is off.
 ///
 /// # Errors
 ///
@@ -841,316 +922,77 @@ pub fn execute_with_metrics(
     chunk_elems: usize,
     opts: &RunOptions,
 ) -> Result<(Vec<Vec<f32>>, MetricsSnapshot), RuntimeError> {
-    execute_impl(
-        ir,
-        inputs,
-        chunk_elems,
-        opts,
-        false,
-        true,
-        None,
-        None,
-        None,
-        None,
-    )
-    .map(|(outputs, _, _, m)| (outputs, m.unwrap_or_default()))
+    let report = run(Run::new(ir, inputs, chunk_elems, opts).with_snapshot(true));
+    report
+        .outputs
+        .map(|o| (o, report.metrics.unwrap_or_default()))
 }
 
-/// Like [`execute_with_stats`], reusing a caller-owned [`TilePool`]
-/// (typically from [`tile_pool_for`]) so tile buffers stay warm across
-/// runs: after one warmup execution, subsequent runs report zero pool
-/// allocations. For the full steady state — rank memory and result
-/// buffers too — use [`execute_in_arena`].
+/// Executes one [`Run`] request: the one entry point behind every way of
+/// running a program.
 ///
-/// # Errors
+/// A failed run still reports its [`EpochStatus`] (and the counters
+/// gathered before the teardown), so a caller — the recovery ladder —
+/// can resume from the checkpoint it carries.
 ///
-/// As for [`execute`].
-pub fn execute_pooled(
-    ir: &IrProgram,
-    inputs: &[Vec<f32>],
-    chunk_elems: usize,
-    opts: &RunOptions,
-    pool: &Arc<TilePool>,
-) -> Result<(Vec<Vec<f32>>, ExecStats), RuntimeError> {
-    let mut arena = ExecArena {
-        pool: Arc::clone(pool),
-        spares: Vec::new(),
-        outputs: Vec::new(),
-        snaps: Vec::new(),
+/// # Failures
+///
+/// [`RunReport::outputs`] fails with [`RuntimeError`] on shape
+/// mismatches, invalid options, hangs, deadline overruns, worker panics
+/// and injected kills, and with [`RuntimeError::InvalidOptions`] when
+/// [`Run::resume`] does not fit the program under these options.
+///
+/// # Example
+///
+/// A traced run in a warm arena: the second run of the same program
+/// allocates no tiles.
+///
+/// ```
+/// use msccl_runtime::{reference, run, ExecArena, Run, RunOptions};
+/// use mscclang::{compile, CompileOptions};
+///
+/// let ir = compile(&msccl_algos::ring_all_reduce(4, 1)?, &CompileOptions::default())?;
+/// let inputs = reference::random_inputs(&ir, 64, 42);
+/// let opts = RunOptions::default();
+/// let mut arena = ExecArena::new(&ir, &opts);
+/// for warm in [false, true] {
+///     let report = run(Run::new(&ir, &inputs, 64, &opts).with_trace(true).with_arena(&mut arena));
+///     let outputs = report.outputs.expect("clean run");
+///     assert!(!report.trace.expect("trace requested").is_empty());
+///     if warm {
+///         assert_eq!(report.stats.pool.allocated, 0);
+///     }
+///     arena.recycle_outputs(outputs);
+/// }
+/// # Ok::<(), mscclang::Error>(())
+/// ```
+pub fn run(req: Run<'_>) -> RunReport {
+    let mut report = RunReport {
+        outputs: Ok(Vec::new()),
+        stats: ExecStats::default(),
+        trace: None,
         metrics: None,
-        flight: None,
+        epoch: EpochStatus::default(),
     };
-    execute_impl(
+    report.outputs = execute_impl(req, &mut report);
+    report
+}
+
+/// The interpreter behind [`run`]: fills `report`'s side products as it
+/// goes and returns the outputs, so validation failures can exit early
+/// with `?`.
+fn execute_impl(req: Run<'_>, report: &mut RunReport) -> Result<Vec<Vec<f32>>, RuntimeError> {
+    let Run {
         ir,
         inputs,
         chunk_elems,
         opts,
-        false,
-        false,
-        None,
-        Some(&mut arena),
-        None,
-        None,
-    )
-    .map(|(outputs, _, stats, _)| (outputs, stats))
-}
-
-/// Like [`execute_with_stats`], drawing every buffer of the data path —
-/// tiles, rank memory spaces, result vectors — from a caller-owned
-/// [`ExecArena`] and returning the reusable ones to it afterwards. After
-/// one warmup run (and with outputs handed back via
-/// [`ExecArena::recycle_outputs`]), subsequent runs of the same program
-/// perform zero steady-state allocations on the data path; this is the
-/// configuration the throughput bench measures.
-///
-/// # Errors
-///
-/// As for [`execute`].
-pub fn execute_in_arena(
-    ir: &IrProgram,
-    inputs: &[Vec<f32>],
-    chunk_elems: usize,
-    opts: &RunOptions,
-    arena: &mut ExecArena,
-) -> Result<(Vec<Vec<f32>>, ExecStats), RuntimeError> {
-    execute_impl(
-        ir,
-        inputs,
-        chunk_elems,
-        opts,
-        false,
-        false,
-        None,
-        Some(arena),
-        None,
-        None,
-    )
-    .map(|(outputs, _, stats, _)| (outputs, stats))
-}
-
-/// Like [`execute`], additionally recording a wall-clock [`Trace`] of
-/// every instruction, semaphore wait, FIFO block and message.
-///
-/// Each worker thread appends to its own buffer (no synchronization on
-/// the hot path beyond what execution itself needs); the buffers are
-/// merged into one timestamp-sorted trace after the workers join.
-///
-/// # Errors
-///
-/// Returns [`RuntimeError`] on shape mismatches, invalid options, hangs,
-/// deadline overruns and worker panics.
-pub fn execute_traced(
-    ir: &IrProgram,
-    inputs: &[Vec<f32>],
-    chunk_elems: usize,
-    opts: &RunOptions,
-) -> Result<(Vec<Vec<f32>>, Trace), RuntimeError> {
-    execute_impl(
-        ir,
-        inputs,
-        chunk_elems,
-        opts,
-        true,
-        false,
-        None,
-        None,
-        None,
-        None,
-    )
-    .map(|(outputs, trace, _, _)| (outputs, trace.expect("tracing was enabled")))
-}
-
-/// Like [`execute_traced`], additionally returning the run's
-/// [`MetricsSnapshot`]: the always-on counters — bytes and messages per
-/// connection, semaphore wait and FIFO block time, per-instruction-kind
-/// latency histograms, tile-pool behaviour — merged across the worker
-/// shards at the end of the run. This is the entry point behind
-/// `msccl profile`. The snapshot is empty when `opts.metrics` is off.
-///
-/// # Errors
-///
-/// As for [`execute`].
-pub fn execute_profiled(
-    ir: &IrProgram,
-    inputs: &[Vec<f32>],
-    chunk_elems: usize,
-    opts: &RunOptions,
-) -> Result<(Vec<Vec<f32>>, Trace, MetricsSnapshot), RuntimeError> {
-    execute_impl(
-        ir,
-        inputs,
-        chunk_elems,
-        opts,
-        true,
-        true,
-        None,
-        None,
-        None,
-        None,
-    )
-    .map(|(outputs, trace, _, m)| {
-        (
-            outputs,
-            trace.expect("tracing was enabled"),
-            m.unwrap_or_default(),
-        )
-    })
-}
-
-/// Like [`execute`], with deterministic faults injected from `injector`.
-///
-/// Injection is one-shot per spec *across the injector's lifetime*:
-/// calling this again with the same injector models a retry after a
-/// transient fault. A disruptive fault surfaces as a structured error
-/// whose context names the faults that struck; a corrupting fault
-/// surfaces only through output verification (see
-/// [`reference::check_outputs`](crate::reference::check_outputs) or the
-/// recovery layer).
-///
-/// # Errors
-///
-/// Returns [`RuntimeError`] like [`execute`], plus
-/// [`RuntimeError::InjectedFault`] when a planned kill strikes.
-pub fn execute_with_faults(
-    ir: &IrProgram,
-    inputs: &[Vec<f32>],
-    chunk_elems: usize,
-    opts: &RunOptions,
-    injector: &FaultInjector,
-) -> Result<Vec<Vec<f32>>, RuntimeError> {
-    execute_impl(
-        ir,
-        inputs,
-        chunk_elems,
-        opts,
-        false,
-        false,
-        Some(injector),
-        None,
-        None,
-        None,
-    )
-    .map(|(outputs, _, _, _)| outputs)
-}
-
-/// [`execute_with_faults`] with tracing, as [`execute_traced`] is to
-/// [`execute`].
-///
-/// # Errors
-///
-/// As for [`execute_with_faults`].
-pub fn execute_with_faults_traced(
-    ir: &IrProgram,
-    inputs: &[Vec<f32>],
-    chunk_elems: usize,
-    opts: &RunOptions,
-    injector: &FaultInjector,
-) -> Result<(Vec<Vec<f32>>, Trace), RuntimeError> {
-    execute_impl(
-        ir,
-        inputs,
-        chunk_elems,
-        opts,
-        true,
-        false,
-        Some(injector),
-        None,
-        None,
-        None,
-    )
-    .map(|(outputs, trace, _, _)| (outputs, trace.expect("tracing was enabled")))
-}
-
-/// The epoch-aware entry point behind the recovery ladder's *resume*
-/// decision. Executes `ir` with optional fault injection, either from
-/// scratch (`resume: None`) or from a previously captured
-/// [`EpochCheckpoint`]: rank memory is restored from the snapshot and
-/// every thread block starts at its checkpoint watermark, so only the
-/// work after the last consistent cut is redone.
-///
-/// Alongside the result it always returns the attempt's [`EpochStatus`]:
-/// boundary count, checkpoints published, instruction instances resumed
-/// and executed, and — when the attempt failed transiently with a
-/// checkpoint in hand — the checkpoint to feed back into the next call.
-///
-/// # Errors
-///
-/// The `Result` half fails like [`execute_with_faults`]; additionally
-/// [`RuntimeError::InvalidOptions`] when `resume` does not fit `ir`
-/// under `opts` (rank count or boundary schedule mismatch — e.g. a
-/// checkpoint replayed against different options).
-pub fn execute_resumable(
-    ir: &IrProgram,
-    inputs: &[Vec<f32>],
-    chunk_elems: usize,
-    opts: &RunOptions,
-    injector: Option<&FaultInjector>,
-    resume: Option<EpochCheckpoint>,
-) -> (Result<Vec<Vec<f32>>, RuntimeError>, EpochStatus) {
-    execute_resumable_in_arena(ir, inputs, chunk_elems, opts, injector, resume, None)
-}
-
-/// [`execute_resumable`] drawing the data path from a caller-owned
-/// [`ExecArena`] when one is given, as [`execute_in_arena`] is to
-/// [`execute_with_stats`]. This is the attempt primitive behind
-/// [`execute_with_recovery_in_arena`](crate::execute_with_recovery_in_arena):
-/// a long-running process (the service daemon) keeps one arena per
-/// executor worker and every attempt of every request — resume, retry,
-/// fallback — reuses its tiles, rank memory and result buffers.
-///
-/// # Errors
-///
-/// As for [`execute_resumable`].
-pub fn execute_resumable_in_arena(
-    ir: &IrProgram,
-    inputs: &[Vec<f32>],
-    chunk_elems: usize,
-    opts: &RunOptions,
-    injector: Option<&FaultInjector>,
-    resume: Option<EpochCheckpoint>,
-    arena: Option<&mut ExecArena>,
-) -> (Result<Vec<Vec<f32>>, RuntimeError>, EpochStatus) {
-    let mut status = EpochStatus::default();
-    let result = execute_impl(
-        ir,
-        inputs,
-        chunk_elems,
-        opts,
-        false,
-        false,
+        mut arena,
         injector,
-        arena,
         resume,
-        Some(&mut status),
-    )
-    .map(|(outputs, _, _, _)| outputs);
-    (result, status)
-}
-
-/// Everything one run produces: per-rank outputs, the trace when
-/// tracing was on, the pool/instruction statistics, and the metrics
-/// snapshot when metrics were on.
-type RunProducts = (
-    Vec<Vec<f32>>,
-    Option<Trace>,
-    ExecStats,
-    Option<MetricsSnapshot>,
-);
-
-#[allow(clippy::too_many_arguments)]
-fn execute_impl(
-    ir: &IrProgram,
-    inputs: &[Vec<f32>],
-    chunk_elems: usize,
-    opts: &RunOptions,
-    tracing: bool,
-    want_snapshot: bool,
-    injector: Option<&FaultInjector>,
-    arena: Option<&mut ExecArena>,
-    resume: Option<EpochCheckpoint>,
-    epoch_out: Option<&mut EpochStatus>,
-) -> Result<RunProducts, RuntimeError> {
-    let mut arena = arena;
+        trace: tracing,
+        snapshot: want_snapshot,
+    } = req;
     validate_options(opts)?;
     let collective = &ir.collective;
     let num_ranks = ir.num_ranks();
@@ -1188,7 +1030,7 @@ fn execute_impl(
     // from earlier runs does not leak into this run's stats.
     let pool = match &arena {
         Some(a) => Arc::clone(&a.pool),
-        None => tile_pool_for(ir, opts),
+        None => tile_pool(ir, opts),
     };
     let pool_base = pool.stats();
     let mut spares = arena
@@ -1663,7 +1505,7 @@ fn execute_impl(
     // Scrape model: counters are always recorded, but folding them into
     // a snapshot (key clones, shard sums) happens only for callers that
     // return one — entry points that discard it shouldn't pay for it.
-    let metrics_snapshot = run_metrics.as_deref().filter(|_| want_snapshot).map(|m| {
+    report.metrics = run_metrics.as_deref().filter(|_| want_snapshot).map(|m| {
         // The pool is shared by all workers; its per-run deltas land in
         // shard 0 once the workers have joined. Epoch counters likewise —
         // resolved lazily so runs without epochs carry no epoch series at
@@ -1705,12 +1547,10 @@ fn execute_impl(
         m.registry.snapshot()
     });
 
-    // Hand the attempt's epoch picture out before the paths below take
-    // over; on failure the checkpoint inside is exactly what a resume
-    // needs.
-    if let Some(out) = epoch_out {
-        *out = epoch_status;
-    }
+    // Hand the attempt's picture out before the paths below take over;
+    // on failure the checkpoint inside is exactly what a resume needs.
+    report.stats = stats;
+    report.epoch = epoch_status;
 
     // After the scope the workers' Arc clones are gone, so the memories
     // unwrap cleanly and their buffers can go back to the arena.
@@ -1833,7 +1673,7 @@ fn execute_impl(
         });
     }
 
-    let trace = tracing.then(|| {
+    report.trace = tracing.then(|| {
         let mut buffers = buffers;
         buffers.push(vec![
             TraceEvent {
@@ -1900,7 +1740,7 @@ fn execute_impl(
         })
         .collect();
     stash(arena.take(), memories);
-    Ok((outputs, trace, stats, metrics_snapshot))
+    Ok(outputs)
 }
 
 /// Index of a space in the fixed-size per-space tables below.
@@ -3455,47 +3295,6 @@ mod tests {
         }
     }
 
-    /// Tracing must not change results, and the trace must pass the
-    /// consistency oracle against the IR.
-    #[test]
-    fn traced_execution_matches_untraced() {
-        let p = msccl_algos::ring_all_reduce(4, 1).unwrap();
-        let ir = compile(&p, &CompileOptions::default()).unwrap();
-        let chunk_elems = 8;
-        let inputs = crate::reference::random_inputs(&ir, chunk_elems, 5);
-        let plain = execute(&ir, &inputs, chunk_elems, &RunOptions::default()).unwrap();
-        let (traced, trace) =
-            execute_traced(&ir, &inputs, chunk_elems, &RunOptions::default()).unwrap();
-        assert_eq!(plain, traced);
-        assert!(!trace.is_empty());
-        trace.check_consistency(Some(&ir)).unwrap();
-        // Every instruction appears exactly once (single tile).
-        assert_eq!(trace.executed_instructions().len(), ir.num_instructions());
-    }
-
-    #[test]
-    fn untraced_execution_records_nothing() {
-        let p = msccl_algos::ring_all_reduce(2, 1).unwrap();
-        let ir = compile(&p, &CompileOptions::default()).unwrap();
-        let inputs = crate::reference::random_inputs(&ir, 4, 9);
-        // The public untraced API returns only outputs; internally the
-        // recorder stays empty.
-        let (_, trace, _, _) = execute_impl(
-            &ir,
-            &inputs,
-            4,
-            &RunOptions::default(),
-            false,
-            false,
-            None,
-            None,
-            None,
-            None,
-        )
-        .unwrap();
-        assert!(trace.is_none());
-    }
-
     fn deadlocked_ir() -> mscclang::IrProgram {
         use mscclang::Collective;
         let collective = Collective::all_gather(2, 1, false);
@@ -3673,7 +3472,9 @@ mod tests {
             timeout: Duration::from_secs(5),
             ..RunOptions::default()
         };
-        let err = execute_with_faults(&ir, &inputs, chunk_elems, &opts, &injector).unwrap_err();
+        let err = run(Run::new(&ir, &inputs, chunk_elems, &opts).with_faults(&injector))
+            .outputs
+            .unwrap_err();
         let d = err.diagnosis().expect("kill carries a diagnosis");
         assert_eq!(d.kind, crate::flight::StallKind::SelfFault, "{d:?}");
         assert_eq!(
@@ -3794,8 +3595,13 @@ mod tests {
         .unwrap();
     }
 
+    /// Every combination of a request's optional parts — trace, metrics
+    /// snapshot, arena, fault injector with an empty plan — computes the
+    /// bits and instruction count of a plain [`execute`]. A warmed arena
+    /// recycles the whole data path (tiles, rank memory, output vectors),
+    /// and a requested trace passes the consistency oracle against the IR.
     #[test]
-    fn arena_reuse_is_bit_identical_and_allocation_free() {
+    fn every_request_combination_matches_execute() {
         let p = msccl_algos::ring_all_reduce(4, 1).unwrap();
         let ir = compile(&p, &CompileOptions::default()).unwrap();
         let chunk_elems = 32;
@@ -3804,30 +3610,55 @@ mod tests {
             tile_elems: Some(9),
             ..RunOptions::default()
         };
+        let bits = |outputs: &[Vec<f32>]| -> Vec<Vec<u32>> {
+            outputs
+                .iter()
+                .map(|o| o.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        let fresh = bits(&execute(&ir, &inputs, chunk_elems, &opts).unwrap());
+        let instructions = (ir.num_instructions() * chunk_elems.div_ceil(9)) as u64;
+        let injector = FaultInjector::new(&msccl_faults::FaultPlan {
+            seed: 0,
+            specs: Vec::new(),
+        });
 
-        let fresh = execute(&ir, &inputs, chunk_elems, &opts).unwrap();
-
-        let mut arena = ExecArena::new(&ir, &opts);
-        let (first, _) = execute_in_arena(&ir, &inputs, chunk_elems, &opts, &mut arena).unwrap();
-        assert_eq!(fresh, first, "arena-backed run diverged from fresh run");
-        arena.recycle_outputs(first);
-
-        // Second run through the warmed arena: identical bits, and the
-        // entire data path (tiles, rank memory, output vectors) recycles.
-        let (second, stats) =
-            execute_in_arena(&ir, &inputs, chunk_elems, &opts, &mut arena).unwrap();
-        for (a, b) in fresh.iter().zip(&second) {
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.to_bits(), y.to_bits());
+        for cell in 0..16u8 {
+            let (trace, snapshot, in_arena, faults) =
+                (cell & 1 != 0, cell & 2 != 0, cell & 4 != 0, cell & 8 != 0);
+            let mut arena = ExecArena::new(&ir, &opts);
+            for warm in [false, true].into_iter().take(if in_arena { 2 } else { 1 }) {
+                let mut req = Run::new(&ir, &inputs, chunk_elems, &opts)
+                    .with_trace(trace)
+                    .with_snapshot(snapshot);
+                if in_arena {
+                    req = req.with_arena(&mut arena);
+                }
+                if faults {
+                    req = req.with_faults(&injector);
+                }
+                let report = run(req);
+                let at = format!("trace={trace} snapshot={snapshot} arena={in_arena} faults={faults} warm={warm}");
+                let outputs = report.outputs.unwrap_or_else(|e| panic!("{at}: {e}"));
+                assert_eq!(bits(&outputs), fresh, "{at}: diverged from execute");
+                assert_eq!(report.stats.instructions, instructions, "{at}");
+                assert_eq!(report.trace.is_some(), trace, "{at}");
+                if let Some(t) = &report.trace {
+                    t.check_consistency(Some(&ir)).unwrap();
+                    assert_eq!(t.executed_instructions().len() as u64, instructions, "{at}");
+                }
+                assert_eq!(report.metrics.is_some(), snapshot, "{at}");
+                if warm {
+                    assert_eq!(
+                        report.stats.pool.allocated, 0,
+                        "{at}: warmed arena still allocated tiles: {:?}",
+                        report.stats.pool
+                    );
+                    assert!(report.stats.pool.reused > 0, "{at}: pool was bypassed");
+                }
+                arena.recycle_outputs(outputs);
             }
         }
-        assert_eq!(
-            stats.pool.allocated, 0,
-            "warmed arena still allocated tiles: {:?}",
-            stats.pool
-        );
-        assert!(stats.pool.reused > 0, "pool was bypassed entirely");
     }
 
     /// Epoch barriers are pure synchronization on the clean path: outputs
@@ -3848,8 +3679,12 @@ mod tests {
             epochs: EpochMode::Count(2),
             ..opts_off
         };
-        let (result, status) = execute_resumable(&ir, &inputs, chunk_elems, &opts_on, None, None);
-        let outputs = result.unwrap();
+        let RunReport {
+            outputs,
+            epoch: status,
+            ..
+        } = run(Run::new(&ir, &inputs, chunk_elems, &opts_on));
+        let outputs = outputs.unwrap();
         for (a, b) in plain.iter().zip(&outputs) {
             for (x, y) in a.iter().zip(b) {
                 assert_eq!(x.to_bits(), y.to_bits());
@@ -3881,7 +3716,9 @@ mod tests {
         };
         let fresh = execute(&ir, &inputs, chunk_elems, &opts).unwrap();
         let mut arena = ExecArena::new(&ir, &opts);
-        let (first, _) = execute_in_arena(&ir, &inputs, chunk_elems, &opts, &mut arena).unwrap();
+        let first = run(Run::new(&ir, &inputs, chunk_elems, &opts).with_arena(&mut arena))
+            .outputs
+            .unwrap();
         assert_eq!(fresh, first);
         assert_eq!(
             arena.snaps.len(),
@@ -3889,7 +3726,9 @@ mod tests {
             "snapshot staging buffers must return to the arena"
         );
         arena.recycle_outputs(first);
-        let (second, _) = execute_in_arena(&ir, &inputs, chunk_elems, &opts, &mut arena).unwrap();
+        let second = run(Run::new(&ir, &inputs, chunk_elems, &opts).with_arena(&mut arena))
+            .outputs
+            .unwrap();
         assert_eq!(fresh, second);
         assert_eq!(arena.snaps.len(), ir.num_ranks());
     }
@@ -3911,19 +3750,17 @@ mod tests {
                 .collect(),
             instructions: 4,
         };
-        let (result, _) = execute_resumable(
-            &ir,
-            &inputs,
-            chunk_elems,
-            &RunOptions {
-                tile_elems: Some(2),
-                epochs: EpochMode::Count(2),
-                ..RunOptions::default()
-            },
-            None,
-            Some(bogus),
-        );
-        let err = result.unwrap_err();
+        let opts = RunOptions {
+            tile_elems: Some(2),
+            epochs: EpochMode::Count(2),
+            ..RunOptions::default()
+        };
+        let err = run(Run {
+            resume: Some(bogus),
+            ..Run::new(&ir, &inputs, chunk_elems, &opts)
+        })
+        .outputs
+        .unwrap_err();
         assert!(
             matches!(&err, RuntimeError::InvalidOptions { message } if message.contains("resume checkpoint")),
             "got {err:?}"
@@ -3939,8 +3776,15 @@ mod tests {
         let ir = compile(&p, &CompileOptions::default()).unwrap();
         let chunk_elems = 16;
         let inputs = crate::reference::random_inputs(&ir, chunk_elems, 31);
-        let (outputs, trace, snapshot) =
-            execute_profiled(&ir, &inputs, chunk_elems, &RunOptions::default()).unwrap();
+        let opts = RunOptions::default();
+        let report = run(Run::new(&ir, &inputs, chunk_elems, &opts)
+            .with_trace(true)
+            .with_snapshot(true));
+        let (outputs, trace, snapshot) = (
+            report.outputs.unwrap(),
+            report.trace.unwrap(),
+            report.metrics.unwrap(),
+        );
         crate::reference::check_outputs(
             &ir.collective,
             &inputs,
@@ -3985,7 +3829,7 @@ mod tests {
             metrics: false,
             ..RunOptions::default()
         };
-        let (_, _, empty) = execute_profiled(&ir, &inputs, chunk_elems, &opts).unwrap();
+        let (_, empty) = execute_with_metrics(&ir, &inputs, chunk_elems, &opts).unwrap();
         assert!(empty.samples.is_empty());
     }
 }

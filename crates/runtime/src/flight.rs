@@ -33,6 +33,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
+use msccl_metrics::json_escape;
 use msccl_trace::{ClockDomain, EventKind, Trace, TraceEvent};
 use mscclang::OpCode;
 
@@ -911,14 +912,14 @@ impl Blackbox {
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(4096);
         s.push_str("{\n");
-        let _ = writeln!(s, "  \"version\": {},", json_str(&self.version));
-        let _ = writeln!(s, "  \"program\": {},", json_str(&self.program));
+        let _ = writeln!(s, "  \"version\": \"{}\",", json_escape(&self.version));
+        let _ = writeln!(s, "  \"program\": \"{}\",", json_escape(&self.program));
         let f = &self.failure;
         let _ = writeln!(
             s,
-            "  \"failure\": {{\"cause\": {}, \"detail\": {}, \"rank\": {}, \"tb\": {}, \"step\": {}, \"drain_us\": {}}},",
-            json_str(&f.cause),
-            json_str(&f.detail),
+            "  \"failure\": {{\"cause\": \"{}\", \"detail\": \"{}\", \"rank\": {}, \"tb\": {}, \"step\": {}, \"drain_us\": {}}},",
+            json_escape(&f.cause),
+            json_escape(&f.detail),
             f.rank,
             f.tb,
             f.step,
@@ -926,7 +927,7 @@ impl Blackbox {
         );
         let d = &self.diagnosis;
         s.push_str("  \"diagnosis\": {\n");
-        let _ = writeln!(s, "    \"kind\": {},", json_str(d.kind.label()));
+        let _ = writeln!(s, "    \"kind\": \"{}\",", json_escape(d.kind.label()));
         let _ = writeln!(
             s,
             "    \"origin\": [{}, {}, {}],",
@@ -937,7 +938,7 @@ impl Blackbox {
             "    \"root\": [{}, {}, {}],",
             d.root.0, d.root.1, d.root.2
         );
-        let _ = writeln!(s, "    \"root_what\": {},", json_str(&d.root_what));
+        let _ = writeln!(s, "    \"root_what\": \"{}\",", json_escape(&d.root_what));
         let _ = writeln!(s, "    \"chain\": {},", json_str_list(&d.chain));
         let _ = writeln!(
             s,
@@ -1000,9 +1001,9 @@ impl Blackbox {
             let to = e.to.map_or("null".to_string(), |t| t.to_string());
             let _ = write!(
                 s,
-                "{{\"from\": {}, \"resource\": {}, \"to\": {}}}",
+                "{{\"from\": {}, \"resource\": \"{}\", \"to\": {}}}",
                 e.from,
-                json_str(&e.resource),
+                json_escape(&e.resource),
                 to
             );
         }
@@ -1018,7 +1019,7 @@ impl Blackbox {
             if i > 0 {
                 s.push_str(", ");
             }
-            let _ = write!(s, "[{}, [", json_str(key));
+            let _ = write!(s, "[\"{}\", [", json_escape(key));
             for (j, t) in tasks.iter().enumerate() {
                 if j > 0 {
                     s.push_str(", ");
@@ -1046,10 +1047,10 @@ impl Blackbox {
             let tb = r.tb.map_or("null".to_string(), |v| v.to_string());
             let _ = write!(
                 s,
-                "    {{\"w\": {}, \"s\": {}, \"k\": {}, \"r\": {}, \"t\": {}, \"a\": {}, \"b\": {}}}",
+                "    {{\"w\": {}, \"s\": {}, \"k\": \"{}\", \"r\": {}, \"t\": {}, \"a\": {}, \"b\": {}}}",
                 r.worker,
                 r.seq,
-                json_str(r.kind_name()),
+                json_escape(r.kind_name()),
                 rank,
                 tb,
                 r.a,
@@ -1067,7 +1068,7 @@ impl Blackbox {
             if i > 0 {
                 s.push_str(", ");
             }
-            let _ = write!(s, "[{}, {}]", json_str(name), value);
+            let _ = write!(s, "[\"{}\", {}]", json_escape(name), value);
         }
         s.push_str("]\n}\n");
         s
@@ -1377,33 +1378,15 @@ impl Blackbox {
     }
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn json_str_list(items: &[String]) -> String {
     let mut out = String::from("[");
     for (i, item) in items.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&json_str(item));
+        out.push('"');
+        out.push_str(&json_escape(item));
+        out.push('"');
     }
     out.push(']');
     out

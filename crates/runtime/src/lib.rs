@@ -15,6 +15,12 @@
 //! validates numerical correctness against the golden results in
 //! [`mod@reference`].
 //!
+//! One entry point runs everything: [`run`] takes a [`Run`] request —
+//! program, inputs, options, plus any of an arena, a fault injector, a
+//! resume checkpoint, a trace and a metrics snapshot — and returns one
+//! [`RunReport`]. [`recover`] runs the same request under the retry,
+//! resume and fallback ladder; [`execute`] is `run` for outputs only.
+//!
 //! # Example
 //!
 //! ```
@@ -45,9 +51,7 @@ mod semaphore;
 pub use cancel::{FailureCause, FailureOrigin};
 pub use epoch::{EpochCheckpoint, EpochStatus};
 pub use executor::{
-    execute, execute_in_arena, execute_pooled, execute_profiled, execute_resumable,
-    execute_resumable_in_arena, execute_traced, execute_with_faults, execute_with_faults_traced,
-    execute_with_metrics, execute_with_stats, tile_pool_for, ExecArena, ExecStats, RunOptions,
+    execute, execute_with_metrics, run, ExecArena, ExecStats, Run, RunOptions, RunReport,
     RuntimeError,
 };
 pub use flight::{
@@ -56,7 +60,4 @@ pub use flight::{
 };
 pub use memory::{RankMemory, SpaceBuffers};
 pub use pool::{PoolStats, PooledTile, TilePool};
-pub use recovery::{
-    execute_with_recovery, execute_with_recovery_in_arena, RecoveryPolicy, RecoveryReport,
-    RecoveryStep, ResumePolicy,
-};
+pub use recovery::{recover, RecoveryPolicy, RecoveryReport, RecoveryStep, ResumePolicy};

@@ -32,16 +32,16 @@
 //! instead of sleeping past its own deadline.
 //!
 //! [`reference::check_outputs`]: crate::reference::check_outputs
+//! [`FaultInjector`]: msccl_faults::FaultInjector
 
 use std::time::{Duration, Instant};
 
-use msccl_faults::FaultInjector;
 use msccl_metrics::{names, MetricsSnapshot, Registry};
 use msccl_trace::{ClockDomain, EventKind, RecoveryDecision, Trace, TraceEvent};
 use mscclang::IrProgram;
 
 use crate::epoch::{EpochCheckpoint, EpochStatus};
-use crate::executor::{execute_resumable_in_arena, ExecArena, RunOptions, RuntimeError};
+use crate::executor::{run, Run, RunOptions, RunReport, RuntimeError};
 
 /// Whether the ladder may resume failed attempts from epoch checkpoints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -251,43 +251,35 @@ fn metrics_of(steps: &[RecoveryStep], attempts: usize, totals: &EpochTotals) -> 
     reg.snapshot()
 }
 
-/// One attempt: execute (resuming from `resume` when given), then verify
-/// if asked. Returns the attempt's epoch status alongside, checkpoint
-/// included on transient failure.
-#[allow(clippy::too_many_arguments)]
-fn run_attempt(
-    ir: &IrProgram,
-    inputs: &[Vec<f32>],
-    chunk_elems: usize,
-    opts: &RunOptions,
-    injector: Option<&FaultInjector>,
-    verify: bool,
-    resume: Option<EpochCheckpoint>,
-    arena: Option<&mut ExecArena>,
-) -> (Result<Vec<Vec<f32>>, RuntimeError>, EpochStatus) {
-    let (result, status) =
-        execute_resumable_in_arena(ir, inputs, chunk_elems, opts, injector, resume, arena);
-    let result = result.and_then(|outputs| {
-        if verify {
-            crate::reference::check_outputs(
-                &ir.collective,
-                inputs,
-                &outputs,
-                chunk_elems,
-                opts.reduce_op,
-            )
-            .map_err(|message| RuntimeError::VerificationFailed { message })?;
+/// One attempt: run the request, then verify its outputs if asked. The
+/// report keeps the attempt's epoch status, checkpoint included on
+/// transient failure.
+fn run_attempt(req: Run<'_>, verify: bool) -> RunReport {
+    let (ir, inputs, chunk_elems, op) = (req.ir, req.inputs, req.chunk_elems, req.opts.reduce_op);
+    let mut report = run(req);
+    if let (true, Ok(outputs)) = (verify, &report.outputs) {
+        if let Err(message) =
+            crate::reference::check_outputs(&ir.collective, inputs, outputs, chunk_elems, op)
+        {
+            report.outputs = Err(RuntimeError::VerificationFailed { message });
         }
-        Ok(outputs)
-    });
-    (result, status)
+    }
+    report
 }
 
-/// Executes `primary` under the escalation ladder: transient failures
-/// resume from the last epoch checkpoint when the policy and the failure
-/// allow it, retry from scratch otherwise (both with capped, jittered
-/// exponential backoff), and degrade to `fallback` once retries are
-/// exhausted.
+/// Executes `req`'s program under the escalation ladder: transient
+/// failures resume from the last epoch checkpoint when the policy and
+/// the failure allow it, retry from scratch otherwise (both with capped,
+/// jittered exponential backoff), and degrade to `fallback` once retries
+/// are exhausted.
+///
+/// Every attempt — resume, retry, fallback — runs with the request's
+/// injector and draws its data path from the request's arena when it has
+/// one: the `msccl serve` daemon keeps one arena per executor worker, so
+/// steady-state service traffic allocates nothing on the data path. A
+/// [`Run::resume`] checkpoint seeds the first attempt. The request's
+/// [`trace`](Run::trace) and [`snapshot`](Run::snapshot) flags are not
+/// used: the report carries the decision log instead.
 ///
 /// `fallback` must implement the same collective over the same ranks
 /// (its outputs are interchangeable with the primary's); it gets a
@@ -307,49 +299,22 @@ fn run_attempt(
 ///
 /// Returns the first permanent [`RuntimeError`] immediately, or the last
 /// transient one once every attempt — retries and fallback — is spent.
-pub fn execute_with_recovery(
-    primary: &IrProgram,
-    fallback: Option<&IrProgram>,
-    inputs: &[Vec<f32>],
-    chunk_elems: usize,
-    opts: &RunOptions,
+#[allow(clippy::too_many_lines)]
+pub fn recover(
+    req: Run<'_>,
     policy: &RecoveryPolicy,
-    injector: Option<&FaultInjector>,
+    fallback: Option<&IrProgram>,
 ) -> Result<RecoveryReport, RuntimeError> {
-    execute_with_recovery_in_arena(
-        primary,
-        fallback,
+    let Run {
+        ir: primary,
         inputs,
         chunk_elems,
         opts,
-        policy,
+        mut arena,
         injector,
-        None,
-    )
-}
-
-/// [`execute_with_recovery`] drawing every attempt's data path from a
-/// caller-owned [`ExecArena`] when one is given. This is the execution
-/// primitive of the `msccl serve` daemon: each executor worker owns one
-/// arena for its whole lifetime and runs every admitted request's full
-/// ladder — resume, retry, fallback — on it, so steady-state service
-/// traffic allocates nothing on the data path regardless of how many
-/// tenants or programs share the worker.
-///
-/// # Errors
-///
-/// As for [`execute_with_recovery`].
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-pub fn execute_with_recovery_in_arena(
-    primary: &IrProgram,
-    fallback: Option<&IrProgram>,
-    inputs: &[Vec<f32>],
-    chunk_elems: usize,
-    opts: &RunOptions,
-    policy: &RecoveryPolicy,
-    injector: Option<&FaultInjector>,
-    mut arena: Option<&mut ExecArena>,
-) -> Result<RecoveryReport, RuntimeError> {
+        resume,
+        ..
+    } = req;
     if let Some(fb) = fallback {
         if fb.num_ranks() != primary.num_ranks()
             || fb.collective.in_chunks() != primary.collective.in_chunks()
@@ -396,22 +361,22 @@ pub fn execute_with_recovery_in_arena(
     let mut totals = EpochTotals::default();
 
     let mut attempt = 0usize;
-    let mut checkpoint: Option<EpochCheckpoint> = None;
+    let mut checkpoint: Option<EpochCheckpoint> = resume;
     let mut last_err: RuntimeError;
     loop {
         let resuming = checkpoint.is_some();
-        let (result, status) = run_attempt(
-            primary,
-            inputs,
-            chunk_elems,
-            &attempt_opts(),
-            injector,
+        let run_opts = attempt_opts();
+        let report = run_attempt(
+            Run {
+                arena: arena.as_deref_mut(),
+                injector,
+                resume: checkpoint.take(),
+                ..Run::new(primary, inputs, chunk_elems, &run_opts)
+            },
             policy.verify,
-            checkpoint.take(),
-            arena.as_deref_mut(),
         );
-        totals.absorb(attempt, &status);
-        match result {
+        totals.absorb(attempt, &report.epoch);
+        match report.outputs {
             Ok(outputs) => {
                 let mut detail = String::from(if policy.verify {
                     "verified"
@@ -442,7 +407,7 @@ pub fn execute_with_recovery_in_arena(
                 // may have been poisoned *before* the snapshot, so the
                 // checkpoint is tainted and must be discarded.
                 if policy.resume == ResumePolicy::Epoch && e.is_resumable() {
-                    checkpoint = status.checkpoint;
+                    checkpoint = report.epoch.checkpoint;
                 }
                 last_err = e;
             }
@@ -493,18 +458,17 @@ pub fn execute_with_recovery_in_arena(
         attempt += 1;
         // The checkpoint belongs to the primary's schedule; the fallback
         // always starts from scratch.
-        let (result, status) = run_attempt(
-            fb,
-            inputs,
-            chunk_elems,
-            &attempt_opts(),
-            injector,
+        let run_opts = attempt_opts();
+        let report = run_attempt(
+            Run {
+                arena,
+                injector,
+                ..Run::new(fb, inputs, chunk_elems, &run_opts)
+            },
             policy.verify,
-            None,
-            arena,
         );
-        totals.absorb(attempt, &status);
-        match result {
+        totals.absorb(attempt, &report.epoch);
+        match report.outputs {
             Ok(outputs) => {
                 let detail = if policy.verify {
                     "verified"
@@ -540,7 +504,7 @@ pub fn execute_with_recovery_in_arena(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msccl_faults::{FaultKind, FaultPlan, FaultSite, FaultSpec};
+    use msccl_faults::{FaultInjector, FaultKind, FaultPlan, FaultSite, FaultSpec};
     use mscclang::{compile, CompileOptions, EpochMode};
 
     fn ring_ir(ranks: usize) -> IrProgram {
@@ -572,12 +536,8 @@ mod tests {
         let ir = ring_ir(4);
         let chunk_elems = 8;
         let inputs = crate::reference::random_inputs(&ir, chunk_elems, 21);
-        let report = execute_with_recovery(
-            &ir,
-            None,
-            &inputs,
-            chunk_elems,
-            &RunOptions::default(),
+        let report = recover(
+            Run::new(&ir, &inputs, chunk_elems, &RunOptions::default()),
             &RecoveryPolicy::default(),
             None,
         )
@@ -604,17 +564,13 @@ mod tests {
             timeout: Duration::from_secs(5),
             ..RunOptions::default()
         };
-        let report = execute_with_recovery(
-            &ir,
-            None,
-            &inputs,
-            chunk_elems,
-            &opts,
+        let report = recover(
+            Run::new(&ir, &inputs, chunk_elems, &opts).with_faults(&injector),
             &RecoveryPolicy {
                 backoff: Duration::from_millis(1),
                 ..RecoveryPolicy::default()
             },
-            Some(&injector),
+            None,
         )
         .unwrap();
         assert_eq!(report.attempts, 2);
@@ -687,17 +643,13 @@ mod tests {
         let plan = drop_in_tile3(&ir);
         plan.validate(&ir).unwrap();
         let injector = FaultInjector::new(&plan);
-        let report = execute_with_recovery(
-            &ir,
-            None,
-            &inputs,
-            chunk_elems,
-            &opts,
+        let report = recover(
+            Run::new(&ir, &inputs, chunk_elems, &opts).with_faults(&injector),
             &RecoveryPolicy {
                 backoff: Duration::from_millis(1),
                 ..RecoveryPolicy::default()
             },
-            Some(&injector),
+            None,
         )
         .unwrap();
         let decisions: Vec<RecoveryDecision> = report.steps.iter().map(|s| s.decision).collect();
@@ -742,18 +694,14 @@ mod tests {
         };
         let inputs = crate::reference::random_inputs(&ir, chunk_elems, 28);
         let injector = FaultInjector::new(&drop_in_tile3(&ir));
-        let report = execute_with_recovery(
-            &ir,
-            None,
-            &inputs,
-            chunk_elems,
-            &opts,
+        let report = recover(
+            Run::new(&ir, &inputs, chunk_elems, &opts).with_faults(&injector),
             &RecoveryPolicy {
                 backoff: Duration::from_millis(1),
                 resume: ResumePolicy::FullRetry,
                 ..RecoveryPolicy::default()
             },
-            Some(&injector),
+            None,
         )
         .unwrap();
         assert_eq!(report.steps[0].decision, RecoveryDecision::Retry);
@@ -784,22 +732,24 @@ mod tests {
         };
         plan.validate(&ir).unwrap();
         let injector = FaultInjector::new(&plan);
-        let report = execute_with_recovery(
-            &ir,
-            None,
-            &inputs,
-            chunk_elems,
-            &RunOptions {
-                // Even with checkpoints available, a verification
-                // failure must never resume.
-                epochs: EpochMode::Count(2),
-                ..RunOptions::default()
-            },
+        let report = recover(
+            Run::new(
+                &ir,
+                &inputs,
+                chunk_elems,
+                &RunOptions {
+                    // Even with checkpoints available, a verification
+                    // failure must never resume.
+                    epochs: EpochMode::Count(2),
+                    ..RunOptions::default()
+                },
+            )
+            .with_faults(&injector),
             &RecoveryPolicy {
                 backoff: Duration::from_millis(1),
                 ..RecoveryPolicy::default()
             },
-            Some(&injector),
+            None,
         )
         .unwrap();
         assert_eq!(report.attempts, 2);
@@ -824,18 +774,14 @@ mod tests {
             timeout: Duration::from_secs(5),
             ..RunOptions::default()
         };
-        let report = execute_with_recovery(
-            &ir,
-            Some(&fb),
-            &inputs,
-            chunk_elems,
-            &opts,
+        let report = recover(
+            Run::new(&ir, &inputs, chunk_elems, &opts).with_faults(&injector),
             &RecoveryPolicy {
                 max_retries: 0,
                 backoff: Duration::from_millis(1),
                 ..RecoveryPolicy::default()
             },
-            Some(&injector),
+            Some(&fb),
         )
         .unwrap();
         assert!(report.used_fallback);
@@ -851,12 +797,13 @@ mod tests {
     #[test]
     fn permanent_errors_fail_fast() {
         let ir = ring_ir(2);
-        let err = execute_with_recovery(
-            &ir,
-            None,
-            &[vec![0.0; 3]], // wrong rank count
-            4,
-            &RunOptions::default(),
+        let err = recover(
+            Run::new(
+                &ir,
+                &[vec![0.0; 3]], // wrong rank count
+                4,
+                &RunOptions::default(),
+            ),
             &RecoveryPolicy::default(),
             None,
         )
@@ -871,14 +818,10 @@ mod tests {
         let p = msccl_algos::ring_all_gather_program(4, 1).unwrap();
         let fb = compile(&p, &CompileOptions::default()).unwrap();
         let inputs = crate::reference::random_inputs(&ir, 4, 25);
-        let err = execute_with_recovery(
-            &ir,
-            Some(&fb),
-            &inputs,
-            4,
-            &RunOptions::default(),
+        let err = recover(
+            Run::new(&ir, &inputs, 4, &RunOptions::default()),
             &RecoveryPolicy::default(),
-            None,
+            Some(&fb),
         )
         .unwrap_err();
         let RuntimeError::InvalidOptions { message } = &err else {
@@ -902,12 +845,8 @@ mod tests {
             ..RunOptions::default()
         };
         let started = Instant::now();
-        let err = execute_with_recovery(
-            &ir,
-            None,
-            &inputs,
-            chunk_elems,
-            &opts,
+        let err = recover(
+            Run::new(&ir, &inputs, chunk_elems, &opts).with_faults(&injector),
             &RecoveryPolicy {
                 // A backoff no 2s budget can cover forces the decision
                 // right after the first (fast) failed attempt.
@@ -915,7 +854,7 @@ mod tests {
                 max_backoff: Duration::from_secs(3600),
                 ..RecoveryPolicy::default()
             },
-            Some(&injector),
+            None,
         )
         .unwrap_err();
         let RuntimeError::RecoveryBudgetExhausted {
@@ -989,17 +928,13 @@ mod tests {
             timeout: Duration::from_secs(5),
             ..RunOptions::default()
         };
-        let report = execute_with_recovery(
-            &ir,
-            None,
-            &inputs,
-            chunk_elems,
-            &opts,
+        let report = recover(
+            Run::new(&ir, &inputs, chunk_elems, &opts).with_faults(&injector),
             &RecoveryPolicy {
                 backoff: Duration::from_millis(1),
                 ..RecoveryPolicy::default()
             },
-            Some(&injector),
+            None,
         )
         .unwrap();
         let trace = report.decision_trace();

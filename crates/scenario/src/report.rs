@@ -9,6 +9,8 @@
 
 use std::fmt::Write as _;
 
+use msccl_metrics::json_escape;
+
 use crate::slo::{fmt_f64, Assertion, METRICS};
 
 /// Per-repetition outcome, kept for the report's breakdown table.
@@ -294,9 +296,9 @@ impl ScenarioReport {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        let _ = writeln!(out, "  \"scenario\": \"{}\",", self.name);
-        let _ = writeln!(out, "  \"engine\": \"{}\",", self.engine);
-        let _ = writeln!(out, "  \"machine\": \"{}\",", self.machine);
+        let _ = writeln!(out, "  \"scenario\": \"{}\",", json_escape(&self.name));
+        let _ = writeln!(out, "  \"engine\": \"{}\",", json_escape(&self.engine));
+        let _ = writeln!(out, "  \"machine\": \"{}\",", json_escape(&self.machine));
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
         let _ = writeln!(out, "  \"repetitions\": {},", self.reps.len());
         let _ = writeln!(out, "  \"ops\": {},", self.ops);
@@ -322,7 +324,7 @@ impl ScenarioReport {
             } else {
                 ","
             };
-            let _ = writeln!(out, "    \"{tenant}\": {n}{comma}");
+            let _ = writeln!(out, "    \"{}\": {n}{comma}", json_escape(tenant));
         }
         let _ = writeln!(out, "  }},");
         let _ = writeln!(out, "  \"reps\": [");
@@ -331,7 +333,7 @@ impl ScenarioReport {
             let boxes: Vec<String> = r
                 .blackboxes
                 .iter()
-                .map(|p| format!("\"{}\"", p.replace('\\', "\\\\").replace('"', "\\\"")))
+                .map(|p| format!("\"{}\"", json_escape(p)))
                 .collect();
             let _ = writeln!(
                 out,

@@ -24,7 +24,7 @@
 //!
 //! The simulator executes one attempt; recovery is *modeled* on top of
 //! its outcome, mirroring the runtime's ladder
-//! ([`msccl_runtime::execute_with_recovery`]). When a faulted attempt
+//! ([`msccl_runtime::recover`]). When a faulted attempt
 //! fails at virtual time `t`: with no retry budget the op falls back (one
 //! fallback execution) or fails; with budget, epoch resume charges
 //! detection + backoff + the *un-checkpointed remainder* of a clean run
@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 
 use msccl_algos::{build_by_name, AlgoSpec};
 use msccl_faults::{FaultInjector, FaultKind, FaultPlan, FaultSite, FaultSpec, FaultUniverse};
-use msccl_runtime::{execute_with_recovery, reference, RecoveryPolicy, ResumePolicy, RunOptions};
+use msccl_runtime::{recover, reference, RecoveryPolicy, ResumePolicy, Run, RunOptions};
 use msccl_sim::{simulate, SimConfig, SimError};
 use msccl_topology::Machine;
 use mscclang::rng::{mix, Splitmix64};
@@ -607,14 +607,13 @@ fn run_runtime(
                 Some(FaultInjector::new(&full))
             };
             let started = Instant::now();
-            match execute_with_recovery(
-                ir,
-                fallback_ir,
-                &inputs,
-                chunk_elems,
-                &opts,
+            match recover(
+                Run {
+                    injector: injector.as_ref(),
+                    ..Run::new(ir, &inputs, chunk_elems, &opts)
+                },
                 &policy,
-                injector.as_ref(),
+                fallback_ir,
             ) {
                 Ok(report) => {
                     use msccl_metrics::names;

@@ -16,7 +16,7 @@
 //!
 //! Each executor worker owns one [`ExecArena`] for its whole life and
 //! runs every request's full recovery ladder on it
-//! ([`execute_with_recovery_in_arena`]); the request deadline (queue
+//! ([`recover`] with the worker's arena in the [`Run`]); the request deadline (queue
 //! wait included) becomes the ladder's whole-recovery budget, so a
 //! stuck request fails fast instead of holding arena capacity, and a
 //! failed request leaves a black-box dump when a dump directory is
@@ -34,10 +34,8 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use msccl_algos::AlgoSpec;
-use msccl_metrics::{names, Registry};
-use msccl_runtime::{
-    execute_with_recovery_in_arena, reference, ExecArena, RecoveryPolicy, RunOptions, RuntimeError,
-};
+use msccl_metrics::{json_escape, names, Registry};
+use msccl_runtime::{recover, reference, ExecArena, RecoveryPolicy, Run, RunOptions, RuntimeError};
 use msccl_topology::Protocol;
 use mscclang::{compile, CompileOptions, EpochMode};
 
@@ -324,24 +322,6 @@ pub struct ServiceStats {
     pub cache: CacheStats,
     /// Per-tenant breakdown, round-robin order.
     pub tenants: Vec<TenantStats>,
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl ServiceStats {
@@ -837,15 +817,10 @@ impl ServiceCore {
         let inputs = reference::random_inputs(&job.ir, job.req.chunk_elems, job.req.seed);
         let arena = arena.get_or_insert_with(|| ExecArena::new(&job.ir, &opts));
         let t0 = Instant::now();
-        let result = execute_with_recovery_in_arena(
-            &job.ir,
-            None,
-            &inputs,
-            job.req.chunk_elems,
-            &opts,
+        let result = recover(
+            Run::new(&job.ir, &inputs, job.req.chunk_elems, &opts).with_arena(arena),
             &policy,
             None,
-            Some(arena),
         );
         let exec_us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
         {

@@ -23,12 +23,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use msccl_algos::AlgoSpec;
+use msccl_metrics::json_escape;
 use msccl_topology::Protocol;
 use mscclang::EpochMode;
 
-use crate::core::{
-    json_escape, CollectiveRequest, Reply, ServiceConfig, ServiceCore, ServiceStats, ShedReason,
-};
+use crate::core::{CollectiveRequest, Reply, ServiceConfig, ServiceCore, ServiceStats, ShedReason};
 
 /// Read poll interval: how stale a stopping flag check may go.
 const READ_POLL: Duration = Duration::from_millis(200);

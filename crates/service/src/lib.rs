@@ -49,8 +49,8 @@ pub mod signal;
 
 pub use cache::{epoch_label, size_class, CacheKey, CacheStats, IrCache};
 pub use core::{
-    json_escape, output_checksum, CollectiveRequest, FailReply, OkReply, Reply, ServiceConfig,
-    ServiceCore, ServiceStats, ShedReason, ShedReply, TenantStats, MAX_CHUNK_ELEMS,
+    output_checksum, CollectiveRequest, FailReply, OkReply, Reply, ServiceConfig, ServiceCore,
+    ServiceStats, ShedReason, ShedReply, TenantStats, MAX_CHUNK_ELEMS,
 };
 pub use http::{start, ServiceHandle};
 pub use tenant::{TenantSpec, TokenBucket};

@@ -1,12 +1,12 @@
-//! Simulation entry points: shard construction, the backend dispatch,
-//! and report assembly.
+//! Simulation entry points: shard construction, the serial-or-parallel
+//! dispatch, and report assembly.
 //!
 //! The event loops themselves live in [`crate::actor`] (the per-node
 //! state machine) and [`crate::parallel`] (the round driver that runs
 //! the shards serially or across worker threads). This module turns an
 //! [`IrProgram`] plus a [`SimConfig`] into shards, runs them, and merges
 //! the per-shard results back into one [`SimReport`] — identically
-//! whichever backend executed the rounds.
+//! whether one thread or several executed the rounds.
 
 use std::collections::HashMap;
 
@@ -519,61 +519,6 @@ pub fn simulate(
     Ok(assemble(ir, config, built))
 }
 
-/// A simulation engine selector: the serial oracle or the sharded
-/// parallel engine, both producing bit-identical [`SimReport`]s.
-pub trait SimBackend {
-    /// Runs `ir` over `config`'s machine with this backend's engine,
-    /// overriding [`SimConfig::parallel`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] exactly as [`simulate`] does.
-    fn simulate(
-        &self,
-        ir: &IrProgram,
-        config: &SimConfig,
-        buffer_bytes: u64,
-    ) -> Result<SimReport, SimError>;
-}
-
-/// The serial oracle: one thread drives every shard, round by round.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SerialBackend;
-
-impl SimBackend for SerialBackend {
-    fn simulate(
-        &self,
-        ir: &IrProgram,
-        config: &SimConfig,
-        buffer_bytes: u64,
-    ) -> Result<SimReport, SimError> {
-        let mut config = config.clone();
-        config.parallel = None;
-        simulate(ir, &config, buffer_bytes)
-    }
-}
-
-/// The parallel engine: `threads` workers claim shards within each
-/// round.
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelBackend {
-    /// Worker thread count (1 degenerates to the serial driver).
-    pub threads: usize,
-}
-
-impl SimBackend for ParallelBackend {
-    fn simulate(
-        &self,
-        ir: &IrProgram,
-        config: &SimConfig,
-        buffer_bytes: u64,
-    ) -> Result<SimReport, SimError> {
-        let mut config = config.clone();
-        config.parallel = Some(self.threads);
-        simulate(ir, &config, buffer_bytes)
-    }
-}
-
 /// Simulates a sequence of kernels launched back to back (the multi-kernel
 /// baselines of §7.2: each kernel pays its own launch and no cross-kernel
 /// pipelining happens).
@@ -1047,20 +992,18 @@ mod tests {
         assert_eq!(tiny.epoch_boundaries, 0);
     }
 
-    /// The backend selectors override [`SimConfig::parallel`] and agree
-    /// bit for bit — the structural core of the differential tier.
+    /// Every [`SimConfig::parallel`] thread count agrees with the serial
+    /// engine bit for bit — the structural core of the differential tier.
     #[test]
-    fn backends_agree_bit_for_bit() {
+    fn thread_counts_agree_bit_for_bit() {
         let p = msccl_algos::hierarchical_all_reduce(2, 2).unwrap();
         let ir = compile(&p, &CompileOptions::default()).unwrap();
         let cfg = SimConfig::new(Machine::ndv4(2))
             .with_trace(true)
             .with_timeline(true);
-        let serial = SerialBackend.simulate(&ir, &cfg, 1 << 20).unwrap();
+        let serial = simulate(&ir, &cfg, 1 << 20).unwrap();
         for threads in [1, 2, 4, 8] {
-            let par = ParallelBackend { threads }
-                .simulate(&ir, &cfg, 1 << 20)
-                .unwrap();
+            let par = simulate(&ir, &cfg.clone().with_parallel(threads), 1 << 20).unwrap();
             assert_eq!(serial, par, "threads={threads} diverged from serial");
         }
     }

@@ -24,9 +24,8 @@
 //! factor, and where the crossovers fall.
 //!
 //! Execution is sharded per machine node and can run the shards on
-//! worker threads ([`SimConfig::with_parallel`], or the
-//! [`ParallelBackend`]/[`SerialBackend`] pair behind [`SimBackend`])
-//! with results bit-identical to the serial engine — see
+//! worker threads ([`SimConfig::with_parallel`]) with results
+//! bit-identical to the serial engine — see
 //! `docs/simulator.md` for the round architecture and the determinism
 //! contract.
 //!
@@ -53,8 +52,5 @@ mod parallel;
 mod sync;
 
 pub use config::{SimConfig, SimError};
-pub use engine::{
-    simulate, simulate_sequence, Activity, ParallelBackend, SerialBackend, SimBackend, SimReport,
-    TimelineEntry,
-};
+pub use engine::{simulate, simulate_sequence, Activity, SimReport, TimelineEntry};
 pub use flow::{FlowNet, ResourceTable};

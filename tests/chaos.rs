@@ -15,10 +15,10 @@ use std::time::{Duration, Instant};
 
 use msccl_faults::{FaultInjector, FaultKind, FaultPlan, FaultSite, FaultSpec, FaultUniverse};
 use msccl_runtime::{
-    execute, execute_with_faults, execute_with_recovery, reference, Blackbox, RecoveryPolicy,
-    RunOptions, RuntimeError, StallKind,
+    execute, recover, reference, run, Blackbox, RecoveryPolicy, Run, RunOptions, RuntimeError,
+    StallKind,
 };
-use msccl_sim::{ParallelBackend, SerialBackend, SimBackend, SimConfig};
+use msccl_sim::{simulate, SimConfig};
 use msccl_topology::{LinkParams, Machine};
 use msccl_trace::RecoveryDecision;
 use mscclang::{compile, CompileOptions, EpochMode, IrProgram, Program, ReduceOp};
@@ -65,7 +65,7 @@ fn chaos_invariant(name: &str, ir: &IrProgram, seed: u64) {
     };
     let injector = FaultInjector::new(&plan);
     let start = Instant::now();
-    let result = execute_with_faults(ir, &inputs, chunk_elems, &opts, &injector);
+    let result = run(Run::new(ir, &inputs, chunk_elems, &opts).with_faults(&injector)).outputs;
     let elapsed = start.elapsed();
     assert!(
         elapsed < Duration::from_secs(8),
@@ -175,9 +175,9 @@ fn sim_machine(index: usize) -> Machine {
 fn sim_chaos_invariant(name: &str, index: usize, ir: &IrProgram, seed: u64) {
     let plan = FaultPlan::generate(seed, &FaultUniverse::from_ir(ir));
     let cfg = SimConfig::new(sim_machine(index)).with_faults(plan.clone());
-    let serial = SerialBackend.simulate(ir, &cfg, 1 << 18);
+    let serial = simulate(ir, &cfg, 1 << 18);
     for threads in [2, 4, 8] {
-        let parallel = ParallelBackend { threads }.simulate(ir, &cfg, 1 << 18);
+        let parallel = simulate(ir, &cfg.clone().with_parallel(threads), 1 << 18);
         assert_eq!(
             serial,
             parallel,
@@ -236,7 +236,9 @@ fn killing_one_block_cancels_all_workers_promptly() {
     plan.validate(&ir).unwrap();
     let injector = FaultInjector::new(&plan);
     let inputs = reference::random_inputs(&ir, 8, 1);
-    let err = execute_with_faults(&ir, &inputs, 8, &RunOptions::default(), &injector).unwrap_err();
+    let err = run(Run::new(&ir, &inputs, 8, &RunOptions::default()).with_faults(&injector))
+        .outputs
+        .unwrap_err();
     let drain = err
         .drain()
         .expect("an injected kill carries the observed cancellation drain");
@@ -303,14 +305,10 @@ fn resume_invariant(name: &str, ir: &IrProgram) {
     plan.validate(ir)
         .unwrap_or_else(|e| panic!("{name}: synthesized plan invalid: {e}"));
     let injector = FaultInjector::new(&plan);
-    let report = execute_with_recovery(
-        ir,
-        None,
-        &inputs,
-        chunk_elems,
-        &opts,
+    let report = recover(
+        Run::new(ir, &inputs, chunk_elems, &opts).with_faults(&injector),
         &RecoveryPolicy::default(),
-        Some(&injector),
+        None,
     )
     .unwrap_or_else(|e| {
         panic!(
@@ -409,8 +407,10 @@ fn diagnosis_invariant(name: &str, ir: &IrProgram) {
     plan.validate(ir)
         .unwrap_or_else(|e| panic!("{name}: kill plan invalid: {e}"));
     let injector = FaultInjector::new(&plan);
-    let err = execute_with_faults(ir, &inputs, chunk_elems, &RunOptions::default(), &injector)
-        .unwrap_err();
+    let err =
+        run(Run::new(ir, &inputs, chunk_elems, &RunOptions::default()).with_faults(&injector))
+            .outputs
+            .unwrap_err();
     let d = err
         .diagnosis()
         .expect("an injected kill carries a diagnosis");
@@ -439,7 +439,9 @@ fn diagnosis_invariant(name: &str, ir: &IrProgram) {
         deadline: Some(Duration::from_secs(10)),
         ..RunOptions::default()
     };
-    let err = execute_with_faults(ir, &inputs, chunk_elems, &opts, &injector).unwrap_err();
+    let err = run(Run::new(ir, &inputs, chunk_elems, &opts).with_faults(&injector))
+        .outputs
+        .unwrap_err();
     let d = err
         .diagnosis()
         .expect("a stall-induced hang carries a diagnosis");
@@ -507,7 +509,9 @@ fn stalled_block_blackbox_names_the_straggler_root() {
         blackbox_dir: Some(dir.clone()),
         ..RunOptions::default()
     };
-    let err = execute_with_faults(&ir, &inputs, 8, &opts, &injector).unwrap_err();
+    let err = run(Run::new(&ir, &inputs, 8, &opts).with_faults(&injector))
+        .outputs
+        .unwrap_err();
     let path = err.blackbox_path().expect("failed run wrote a black box");
     let bb = Blackbox::from_json(&std::fs::read_to_string(path).unwrap()).unwrap();
     assert_eq!(
@@ -557,7 +561,8 @@ fn concurrent_failures_write_distinct_blackboxes() {
                         blackbox_dir: Some(dir),
                         ..RunOptions::default()
                     };
-                    let err = execute_with_faults(ir, &inputs, 8, &opts, &injector)
+                    let err = run(Run::new(ir, &inputs, 8, &opts).with_faults(&injector))
+                        .outputs
                         .expect_err("stalled run must fail");
                     err.blackbox_path()
                         .expect("failed run wrote a black box")
@@ -595,7 +600,9 @@ fn dropped_delivery_hangs_with_the_fault_named_in_context() {
         timeout: Duration::from_millis(200),
         ..RunOptions::default()
     };
-    let err = execute_with_faults(&ir, &inputs, 8, &opts, &injector).unwrap_err();
+    let err = run(Run::new(&ir, &inputs, 8, &opts).with_faults(&injector))
+        .outputs
+        .unwrap_err();
     let display = err.to_string();
     assert!(
         matches!(err, RuntimeError::Hang { .. }),

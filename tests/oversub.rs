@@ -16,7 +16,7 @@
 //! the CI `executor-oversub` matrix job uses this to split pool sizes
 //! across jobs.
 
-use msccl_runtime::{execute, execute_in_arena, reference, ExecArena, RunOptions};
+use msccl_runtime::{execute, reference, run, ExecArena, Run, RunOptions};
 use msccl_topology::Protocol;
 use mscclang::{compile, CompileOptions, Program, ReduceOp};
 
@@ -166,7 +166,8 @@ fn recycled_arena_runs_are_bit_exact_across_changing_inputs() {
                 chunk_elems * ir.refinement,
                 ReduceOp::Sum,
             );
-            let (outputs, _) = execute_in_arena(&ir, &inputs, chunk_elems, &opts, &mut arena)
+            let outputs = run(Run::new(&ir, &inputs, chunk_elems, &opts).with_arena(&mut arena))
+                .outputs
                 .unwrap_or_else(|e| panic!("{name}/seed={seed}: {e}"));
             for (r, (got, want)) in outputs.iter().zip(&golden).enumerate() {
                 assert_eq!(got.len(), want.len(), "{name}/seed={seed} rank {r}: length");

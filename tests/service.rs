@@ -349,3 +349,100 @@ fn hopeless_deadline_fails_fast_with_504() {
     assert_eq!(stats.failed, 1);
     assert_eq!(stats.served, 0);
 }
+
+/// Checks one Prometheus exposition sample line, `name{labels} value`
+/// (labels optional), returning the metric name. Label values may carry
+/// only the three escapes the text format defines: `\\`, `\"`, `\n`.
+fn prometheus_sample_name(line: &str) -> &str {
+    let is_name = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == ':';
+    let name_end = line.find(|c: char| !is_name(c)).unwrap_or(line.len());
+    let (name, mut rest) = line.split_at(name_end);
+    assert!(!name.is_empty(), "no metric name in {line:?}");
+    if let Some(labels) = rest.strip_prefix('{') {
+        let mut chars = labels.char_indices();
+        loop {
+            let key: String = chars
+                .by_ref()
+                .take_while(|&(_, c)| c != '=')
+                .map(|(_, c)| c)
+                .collect();
+            assert!(
+                !key.is_empty() && key.chars().all(is_name),
+                "bad label name {key:?} in {line:?}"
+            );
+            assert_eq!(
+                chars.next().map(|(_, c)| c),
+                Some('"'),
+                "unquoted label in {line:?}"
+            );
+            loop {
+                match chars.next().map(|(_, c)| c) {
+                    Some('"') => break,
+                    Some('\\') => assert!(
+                        matches!(chars.next().map(|(_, c)| c), Some('\\' | '"' | 'n')),
+                        "bad escape in {line:?}"
+                    ),
+                    Some('\n') | None => panic!("unterminated label value in {line:?}"),
+                    Some(_) => {}
+                }
+            }
+            match chars.next() {
+                Some((_, ',')) => {}
+                Some((i, '}')) => {
+                    rest = &labels[i + 1..];
+                    break;
+                }
+                other => panic!("expected ',' or '}}' after a label, got {other:?} in {line:?}"),
+            }
+        }
+    }
+    let value = rest
+        .strip_prefix(' ')
+        .unwrap_or_else(|| panic!("no value in {line:?}"));
+    assert!(
+        value.parse::<f64>().is_ok(),
+        "bad value {value:?} in {line:?}"
+    );
+    name
+}
+
+/// A tenant name is client input, URL-decoded: a newline in it must not
+/// split a `/metrics` sample into a second line that forges a series.
+#[test]
+fn hostile_tenant_name_cannot_inject_metrics_lines() {
+    let handle = start(ServiceConfig {
+        exec_workers: 1,
+        ..ServiceConfig::default()
+    })
+    .expect("daemon starts");
+    let addr = handle.addr();
+    let (status, _, body) = http(
+        addr,
+        "GET",
+        "/collective?algorithm=ring-allreduce&ranks=4&elems=64&tenant=a%0Amsccl_fake_total%2099&seed=7",
+    );
+    assert_eq!(status, 200, "collective body: {body}");
+
+    let (status, _, metrics) = http(addr, "GET", "/metrics");
+    assert_eq!(status, 200);
+    let names: Vec<&str> = metrics
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(prometheus_sample_name)
+        .collect();
+    assert!(
+        names.contains(&"msccl_service_admitted_total"),
+        "metrics:\n{metrics}"
+    );
+    assert!(
+        !names.iter().any(|n| n.starts_with("msccl_fake_total")),
+        "forged series in:\n{metrics}"
+    );
+    assert!(
+        metrics.contains("tenant=\"a\\nmsccl_fake_total 99\""),
+        "escaped tenant label missing in:\n{metrics}"
+    );
+
+    let stats = handle.shutdown();
+    assert_eq!(stats.served, 1);
+}

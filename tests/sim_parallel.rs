@@ -12,7 +12,7 @@
 //! bug class this tier exists to catch.
 
 use msccl_faults::{FaultPlan, FaultUniverse};
-use msccl_sim::{simulate, ParallelBackend, SerialBackend, SimBackend, SimConfig, SimError};
+use msccl_sim::{simulate, SimConfig, SimError};
 use msccl_topology::{LinkParams, Machine, Protocol};
 use mscclang::{compile, CompileOptions, EpochMode, IrProgram, Program};
 use proptest::prelude::*;
@@ -110,9 +110,9 @@ fn thread_counts() -> Vec<usize> {
 /// Asserts serial and parallel produce the exact same `Result` for one
 /// configuration, across every swept thread count.
 fn assert_backends_agree(name: &str, ir: &IrProgram, cfg: &SimConfig, bytes: u64) {
-    let serial = SerialBackend.simulate(ir, cfg, bytes);
+    let serial = simulate(ir, cfg, bytes);
     for threads in thread_counts() {
-        let par = ParallelBackend { threads }.simulate(ir, cfg, bytes);
+        let par = simulate(ir, &cfg.clone().with_parallel(threads), bytes);
         assert_eq!(
             serial, par,
             "{name}: parallel({threads}) diverged from serial"
@@ -163,9 +163,9 @@ fn pinned_fault_plans_agree() {
             let seed = index as u64 * 1000 + i;
             let plan = FaultPlan::generate(seed, &FaultUniverse::from_ir(&ir));
             let cfg = SimConfig::new(machine.clone()).with_faults(plan.clone());
-            let serial = SerialBackend.simulate(&ir, &cfg, 1 << 18);
+            let serial = simulate(&ir, &cfg, 1 << 18);
             for threads in thread_counts() {
-                let par = ParallelBackend { threads }.simulate(&ir, &cfg, 1 << 18);
+                let par = simulate(&ir, &cfg.clone().with_parallel(threads), 1 << 18);
                 assert_eq!(
                     serial,
                     par,
@@ -209,14 +209,14 @@ fn structured_errors_are_bit_identical() {
         let mut plan = FaultPlan::empty();
         plan.specs.push(spec);
         let cfg = SimConfig::new(machine.clone()).with_faults(plan);
-        let serial = SerialBackend.simulate(&ir, &cfg, 1 << 18);
+        let serial = simulate(&ir, &cfg, 1 << 18);
         let err = serial.as_ref().expect_err("fault must surface");
         assert!(
             matches!(err, SimError::InjectedFault { .. } | SimError::Stuck { .. }),
             "unexpected verdict for {spec:?}: {err}"
         );
         for threads in thread_counts() {
-            let par = ParallelBackend { threads }.simulate(&ir, &cfg, 1 << 18);
+            let par = simulate(&ir, &cfg.clone().with_parallel(threads), 1 << 18);
             assert_eq!(serial, par, "{spec:?}: error diverged at {threads} threads");
         }
     }
@@ -236,12 +236,8 @@ fn tie_breaking_is_schedule_independent() {
     let cfg = SimConfig::new(machine.clone()).with_launch(false);
     let serial = simulate(&ir, &cfg, 1 << 18).unwrap();
     for threads in [2, 4, 8] {
-        let a = ParallelBackend { threads }
-            .simulate(&ir, &cfg, 1 << 18)
-            .unwrap();
-        let b = ParallelBackend { threads }
-            .simulate(&ir, &cfg, 1 << 18)
-            .unwrap();
+        let a = simulate(&ir, &cfg.clone().with_parallel(threads), 1 << 18).unwrap();
+        let b = simulate(&ir, &cfg.clone().with_parallel(threads), 1 << 18).unwrap();
         assert_eq!(a.events, serial.events, "{threads} threads: event count");
         assert_eq!(a.max_heap, serial.max_heap, "{threads} threads: peak heap");
         assert_eq!(a, b, "{threads} threads: repeated runs diverged");
@@ -267,9 +263,9 @@ proptest! {
         let plan = FaultPlan::generate(seed, &FaultUniverse::from_ir(&ir));
         let cfg = SimConfig::new(machine.clone()).with_faults(plan);
         let bytes = 1u64 << shift;
-        let serial = SerialBackend.simulate(&ir, &cfg, bytes);
-        let par = ParallelBackend { threads }.simulate(&ir, &cfg, bytes);
-        let again = ParallelBackend { threads }.simulate(&ir, &cfg, bytes);
+        let serial = simulate(&ir, &cfg, bytes);
+        let par = simulate(&ir, &cfg.clone().with_parallel(threads), bytes);
+        let again = simulate(&ir, &cfg.clone().with_parallel(threads), bytes);
         prop_assert_eq!(&serial, &par);
         prop_assert_eq!(&par, &again);
     }
@@ -286,8 +282,8 @@ proptest! {
         let (program, machine) = &catalog()[index];
         let ir = compiled(program);
         let cfg = SimConfig::new(machine.clone()).with_trace(true).with_timeline(true);
-        let ra = ParallelBackend { threads: a }.simulate(&ir, &cfg, 1 << 19);
-        let rb = ParallelBackend { threads: b }.simulate(&ir, &cfg, 1 << 19);
+        let ra = simulate(&ir, &cfg.clone().with_parallel(a), 1 << 19);
+        let rb = simulate(&ir, &cfg.clone().with_parallel(b), 1 << 19);
         prop_assert_eq!(ra, rb);
     }
 }
